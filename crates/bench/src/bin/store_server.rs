@@ -1,23 +1,18 @@
 //! Connection-scaling load bench for the `ame-server` wire front-end —
 //! the "many users"-shaped benchmark: an in-process server hosts two
 //! independently keyed tenants, and closed-loop pipelined clients sweep
-//! connections × in-flight window, measuring throughput and
-//! client-observed p50/p99 latency. Sweeps both serving planes
-//! (thread-per-connection vs. the epoll reactor) so the scaling claim
-//! is a measured comparison, not an assertion. Writes
-//! `results/store_server.json`; every row records `server_mode`.
+//! connections × in-flight window (1, 4 and 16; window 1 is the
+//! unpipelined latency row), measuring throughput and client-observed
+//! p50/p99 latency. Writes `results/store_server.json`.
 //!
 //! Usage: `cargo run -p ame-bench --bin store_server --release \
-//!     [ops_per_point] [max_connections] [max_window] [tenants] [mode]`
+//!     [ops_per_point] [max_connections] [max_window] [tenants]`
 //!
-//! `mode` is `threaded`, `reactor`, or `both` (default `both`).
-//!
-//! The CI smoke runs `store_server 512 4 4 2 both` plus a reactor leg
-//! at 256 connections, asserting zero errors and mode provenance.
+//! The CI smoke runs `store_server 512 4 4 2` plus a leg at 256
+//! connections, asserting zero errors.
 
-use ame_bench::server_load::{self, ServerLoadConfig, ServerPoint};
+use ame_bench::server_load::{self, ServerLoadConfig};
 use ame_bench::{parse_arg, results};
-use ame_server::ServerMode;
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -26,13 +21,6 @@ fn main() {
     let max_connections: usize = parse_arg(args.next(), "max connections", 16);
     let max_window: usize = parse_arg(args.next(), "max window", 16);
     let tenants: usize = parse_arg(args.next(), "tenants", defaults.tenants);
-    let mode_arg = args.next().unwrap_or_else(|| "both".into());
-    let modes: Vec<ServerMode> = match mode_arg.as_str() {
-        "threaded" => vec![ServerMode::Threaded],
-        "reactor" => vec![ServerMode::reactor()],
-        "both" => vec![ServerMode::Threaded, ServerMode::reactor()],
-        other => panic!("mode must be threaded|reactor|both, got {other:?}"),
-    };
 
     let cfg = ServerLoadConfig {
         tenants,
@@ -43,44 +31,35 @@ fn main() {
         .into_iter()
         .filter(|&c| c <= max_connections)
         .collect();
-    let windows: Vec<usize> = [4usize, 16]
+    let windows: Vec<usize> = [1usize, 4, 16]
         .into_iter()
         .filter(|&w| w <= max_window)
         .collect();
 
-    let mut points: Vec<ServerPoint> = Vec::new();
-    for mode in modes {
-        let server =
-            server_load::boot_server(&cfg, *windows.iter().max().unwrap(), mode).expect("bind");
-        println!(
-            "serving mode: {} ({} reactor threads)",
-            server.mode_name(),
-            server.reactor_threads()
+    let server = server_load::boot_server(&cfg, max_window).expect("bind");
+    println!("{} reactor threads", server.reactor_threads());
+    let points = server_load::run_sweep(&server, &cfg, &connections, &windows);
+
+    // Per-tenant serving telemetry: proof the load actually spread
+    // across isolated namespaces.
+    let snap = server.telemetry();
+    for t in 0..tenants {
+        let ok = snap
+            .counter(&format!("server/tenant{t}/ops_ok"))
+            .unwrap_or(0);
+        let err = snap
+            .counter(&format!("server/tenant{t}/ops_err"))
+            .unwrap_or(0);
+        println!("tenant{t}: {ok} ops ok, {err} errors");
+    }
+    println!();
+
+    let reports = server.shutdown();
+    for (tenant, report) in &reports {
+        assert!(
+            report.all_resealed(),
+            "tenant {tenant} failed to reseal on shutdown"
         );
-        let mode_points = server_load::run_sweep(&server, &cfg, &connections, &windows);
-
-        // Per-tenant serving telemetry: proof the load actually spread
-        // across isolated namespaces.
-        let snap = server.telemetry();
-        for t in 0..tenants {
-            let ok = snap
-                .counter(&format!("server/tenant{t}/ops_ok"))
-                .unwrap_or(0);
-            let err = snap
-                .counter(&format!("server/tenant{t}/ops_err"))
-                .unwrap_or(0);
-            println!("tenant{t}: {ok} ops ok, {err} errors");
-        }
-        println!();
-
-        let reports = server.shutdown();
-        for (tenant, report) in &reports {
-            assert!(
-                report.all_resealed(),
-                "tenant {tenant} failed to reseal on shutdown"
-            );
-        }
-        points.extend(mode_points);
     }
 
     server_load::print_points(&cfg, &points);

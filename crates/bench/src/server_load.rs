@@ -12,7 +12,7 @@
 //! histogram per point.
 
 use ame_prng::StdRng;
-use ame_server::{PipelinedClient, Server, ServerConfig, ServerMode, TenantSpec};
+use ame_server::{PipelinedClient, Server, ServerConfig, TenantSpec};
 use ame_store::{StoreConfig, BLOCK_BYTES};
 use ame_telemetry::{Histogram, Json};
 use std::collections::HashMap;
@@ -52,11 +52,7 @@ impl Default for ServerLoadConfig {
 /// One measured sweep point.
 #[derive(Debug, Clone)]
 pub struct ServerPoint {
-    /// Serving plane that produced this point — the *actual* one
-    /// (`"reactor"`/`"threaded"`, post-fallback), never the requested
-    /// one. Provenance, same rule as `crypto_backend`.
-    pub server_mode: &'static str,
-    /// Event-loop threads serving the point (0 for threaded).
+    /// Event-loop threads serving the point.
     pub reactor_threads: usize,
     /// Concurrent connections driving this point.
     pub connections: usize,
@@ -75,16 +71,13 @@ pub struct ServerPoint {
 }
 
 /// Boots an in-process server suitable for the sweep: `cfg.tenants`
-/// volatile tenants on an ephemeral loopback port.
+/// volatile tenants on an ephemeral loopback port, each granting
+/// windows up to `max_window`.
 ///
 /// # Errors
 ///
 /// Propagates bind failures.
-pub fn boot_server(
-    cfg: &ServerLoadConfig,
-    max_window: usize,
-    mode: ServerMode,
-) -> std::io::Result<Server> {
+pub fn boot_server(cfg: &ServerLoadConfig, max_window: usize) -> std::io::Result<Server> {
     let store = StoreConfig {
         shards: cfg.shards,
         shard_bytes: cfg.shard_bytes,
@@ -102,7 +95,6 @@ pub fn boot_server(
         "127.0.0.1:0",
         ServerConfig {
             tenants,
-            mode,
             ..ServerConfig::default()
         },
     )
@@ -141,7 +133,6 @@ pub fn run_point(
         latency.merge(h);
     }
     ServerPoint {
-        server_mode: server.mode_name(),
         reactor_threads: server.reactor_threads(),
         connections,
         window,
@@ -221,8 +212,7 @@ fn drive_connection(
     (completed, errors, latency)
 }
 
-/// Runs the full sweep against one server instance. Every point is
-/// stamped with the server's *actual* serving mode.
+/// Runs the full sweep against one server instance.
 #[must_use]
 pub fn run_sweep(
     server: &Server,
@@ -249,13 +239,12 @@ pub fn print_points(cfg: &ServerLoadConfig, points: &[ServerPoint]) {
         cfg.read_fraction * 100.0
     );
     println!(
-        "{:>9} {:>6} {:>7} {:>9} {:>7} {:>12} {:>9} {:>9} {:>9}",
-        "mode", "conns", "window", "ops", "errors", "ops/s", "p50 us", "p99 us", "mean us"
+        "{:>6} {:>7} {:>9} {:>7} {:>12} {:>9} {:>9} {:>9}",
+        "conns", "window", "ops", "errors", "ops/s", "p50 us", "p99 us", "mean us"
     );
     for p in points {
         println!(
-            "{:>9} {:>6} {:>7} {:>9} {:>7} {:>12.0} {:>9.1} {:>9.1} {:>9.1}",
-            p.server_mode,
+            "{:>6} {:>7} {:>9} {:>7} {:>12.0} {:>9.1} {:>9.1} {:>9.1}",
             p.connections,
             p.window,
             p.ops,
@@ -292,7 +281,6 @@ pub fn to_json(cfg: &ServerLoadConfig, points: &[ServerPoint]) -> (Json, String)
     let mut rows = Vec::new();
     for p in points {
         let mut row = Json::object();
-        row.push("server_mode", p.server_mode);
         row.push("reactor_threads", Json::U64(p.reactor_threads as u64));
         row.push("connections", Json::U64(p.connections as u64));
         row.push("window", Json::U64(p.window as u64));
@@ -312,8 +300,8 @@ pub fn to_json(cfg: &ServerLoadConfig, points: &[ServerPoint]) -> (Json, String)
         .max_by(|a, b| a.throughput.total_cmp(&b.throughput))
         .map(|p| {
             format!(
-                "peak {:.0} ops/s @ {} conns w{} ({})",
-                p.throughput, p.connections, p.window, p.server_mode
+                "peak {:.0} ops/s @ {} conns w{}",
+                p.throughput, p.connections, p.window
             )
         })
         .unwrap_or_else(|| "no points".into());

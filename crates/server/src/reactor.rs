@@ -1,15 +1,12 @@
 //! Event-driven connection serving: a fixed pool of epoll loops.
 //!
-//! The threaded plane in [`crate::server`] spends two OS threads per
-//! connection; past a few hundred clients the scheduler, stacks, and
-//! context switches dominate. This module serves the same wire protocol
-//! from a **fixed** pool of event-loop threads: every connection is a
-//! nonblocking state machine owned by exactly one loop, and the loop
-//! blocks in a single `epoll_wait` over all of its sockets *plus* one
-//! eventfd per open session (see
-//! [`SecureStore::split_session_with_wake`](ame_store::SecureStore::split_session_with_wake))
+//! Every connection is a nonblocking state machine owned by exactly one
+//! event-loop thread, and the loop blocks in a single `epoll_wait` over
+//! all of its sockets *plus* one eventfd per open session (see
+//! [`SecureStore::split_session`](ame_store::SecureStore::split_session))
 //! so shard workers can rouse it the moment a completion lands. No
-//! thread ever blocks on a socket or a channel.
+//! thread ever blocks on a socket or a channel, and the thread count
+//! does not grow with the client population.
 //!
 //! # Connection state machine
 //!
@@ -30,15 +27,13 @@
 //! connection stops parsing (and stops reading — `EPOLLIN` interest
 //! drops, so TCP pushes back) until the peer drains its responses. A
 //! stalled or hostile peer therefore costs its own *bounded* buffers,
-//! never a thread and never unbounded server memory — the threaded
-//! plane gets the same property from its blocking writes.
+//! never a thread and never unbounded server memory.
 //!
 //! Store saturation (`StoreError::Overloaded`, from the shared shard
 //! queue or the session window) is **backpressure, not an error**: the
 //! refused op is parked, `EPOLLIN` interest drops so TCP pushes back on
 //! the peer, and every loop tick retries parked ops until the store
-//! breathes — a valid operation is never bounced. The threaded plane
-//! applies the same policy by sleeping its reader thread.
+//! breathes — a valid operation is never bounced.
 //!
 //! # Wakeup path
 //!
@@ -48,21 +43,16 @@
 //! ([`SessionReaper::try_recv_all`](ame_store::SessionReaper::try_recv_all)):
 //! a completion that lands between the reap and the next `epoll_wait`
 //! re-rings the fd, so nothing is ever stranded.
-//!
-//! Admission (HELLO policy), operation decode, duplicate-id checks, and
-//! the shutdown-drain contract are all shared with the threaded plane —
-//! the two modes cannot drift apart because they run the same functions.
 
 use crate::protocol::{
-    self, code, encode_server_error, encode_store_error, op, write_frame, Frame, WireError,
+    self, code, encode_server_error, encode_store_error, op, write_frame, Frame, FrameError,
+    WireError, HEADER_BYTES, PROTOCOL_VERSION,
 };
-use crate::server::{
-    evaluate_hello, exec_tamper, submit_op, try_parse_frame, ConnEnd, HelloDecision, Shared,
-    Submitted, Tenant,
-};
+use crate::server::{Shared, Tenant};
 use crate::sys::{Epoll, EpollEvent, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 use ame_store::{
-    SessionConfig, SessionReaper, SessionSubmitter, StoreError, StoreValue, Ticket, WakeFd,
+    SessionConfig, SessionReaper, SessionSubmitter, StoreError, StoreOp, StoreValue, Ticket,
+    WakeFd, BLOCK_BYTES,
 };
 use std::collections::{HashMap, HashSet};
 use std::io::{ErrorKind, Read, Write};
@@ -91,11 +81,9 @@ const MAX_CHUNKS_PER_EVENT: usize = 16;
 /// Write-buffer occupancy past which a connection stops admitting input:
 /// parsing pauses and `EPOLLIN` interest drops until the peer reads its
 /// responses down. Without this a peer that streams frames (each earning
-/// a response) but never reads its socket grows `wbuf` without limit —
-/// the threaded plane's blocking writes gave it natural backpressure,
-/// the reactor must impose the same bound explicitly. A single oversized
-/// response may overshoot the threshold; the stall then holds until the
-/// flush brings it back under.
+/// a response) but never reads its socket grows `wbuf` without limit. A
+/// single oversized response may overshoot the threshold; the stall then
+/// holds until the flush brings it back under.
 const WBUF_STALL: usize = 256 * 1024;
 
 /// How long a draining reactor waits for peers to read their final
@@ -126,8 +114,7 @@ pub(crate) struct ReactorSeed {
 }
 
 /// Builds the pool plus one seed per loop. `None` means the host cannot
-/// run a reactor (no epoll or no eventfd) — the caller falls back to
-/// threaded serving and records the fallback.
+/// run a reactor (no epoll or no eventfd), and the server cannot bind.
 pub(crate) fn prepare(threads: usize) -> Option<(ReactorPool, Vec<ReactorSeed>)> {
     let mut injectors = Vec::with_capacity(threads);
     let mut seeds = Vec::with_capacity(threads);
@@ -186,7 +173,7 @@ impl ReactorPool {
 }
 
 /// Entry point of one `ame-server-reactor` thread.
-pub(crate) fn reactor_thread(shared: &Arc<Shared>, seed: ReactorSeed) {
+pub(crate) fn reactor_thread(shared: &Shared, seed: ReactorSeed) {
     let ReactorSeed { rx, wake, epoll } = seed;
     reactor_loop(shared, &rx, &wake, &epoll);
 }
@@ -201,8 +188,15 @@ struct Pipe<'a> {
     reaper: SessionReaper<'a>,
     by_ticket: HashMap<Ticket, u64>,
     ids: HashSet<u64>,
-    /// The session eventfd registered in the loop's interest set.
-    wake_fd: i32,
+}
+
+/// Why a connection stopped admitting frames; decides the closing
+/// notice (only `Shutdown` sends one).
+enum ConnEnd {
+    Goodbye,
+    Eof,
+    Shutdown,
+    Malformed,
 }
 
 enum State<'a> {
@@ -416,6 +410,38 @@ fn queue_wire_err(wbuf: &mut Vec<u8>, req_id: u64, e: &WireError) {
     queue_frame(wbuf, tag, req_id, &payload);
 }
 
+/// Pops one complete frame off the front of `buf`, if one is buffered.
+/// `Ok(None)` means "keep reading"; an error is a framing violation that
+/// desynchronises the stream (the connection must close).
+fn try_parse_frame(buf: &mut Vec<u8>, max_frame: u32) -> Result<Option<Frame>, FrameError> {
+    if buf.len() < 4 {
+        return Ok(None);
+    }
+    let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
+    if len > max_frame {
+        return Err(FrameError::Oversized {
+            len,
+            max: max_frame,
+        });
+    }
+    if (len as usize) < HEADER_BYTES {
+        return Err(FrameError::TooShort { len });
+    }
+    let total = 4 + len as usize;
+    if buf.len() < total {
+        return Ok(None);
+    }
+    let tag = buf[4];
+    let req_id = u64::from_le_bytes(buf[5..13].try_into().unwrap());
+    let payload = buf[13..total].to_vec();
+    buf.drain(..total);
+    Ok(Some(Frame {
+        tag,
+        req_id,
+        payload,
+    }))
+}
+
 fn on_socket<'a>(conn: &mut Conn<'a>, evs: u32, shared: &'a Shared, epoll: &Epoll) {
     if evs & (EPOLLERR | EPOLLHUP) != 0 {
         conn.peer_gone = true;
@@ -533,6 +559,63 @@ fn handle_frame<'a>(
     }
 }
 
+/// Outcome of evaluating a `Hello` frame against server state. Counter
+/// updates happen inside [`evaluate_hello`]; admission bookkeeping
+/// (`connections` increment, session split) stays with the caller.
+enum HelloDecision<'a> {
+    /// Admit: reply with `reply` (tagged `STATUS_OK`), then serve
+    /// `tenant` with a per-shard window of `window`.
+    Grant {
+        tenant: &'a Tenant,
+        window: usize,
+        reply: Vec<u8>,
+    },
+    /// Refuse with this typed error, then close.
+    Refuse(WireError),
+}
+
+/// The `Hello` policy: frame shape, protocol version, tenant lookup,
+/// connection quota, window clamp.
+fn evaluate_hello<'a>(shared: &'a Shared, frame: &Frame) -> HelloDecision<'a> {
+    if frame.tag != op::HELLO || frame.payload.len() != 12 {
+        shared
+            .counters
+            .pre_hello_failures
+            .fetch_add(1, Ordering::Relaxed);
+        return HelloDecision::Refuse(WireError::BadFrame);
+    }
+    let version = u32::from_le_bytes(frame.payload[0..4].try_into().unwrap());
+    let tenant_id = u32::from_le_bytes(frame.payload[4..8].try_into().unwrap());
+    let requested = u32::from_le_bytes(frame.payload[8..12].try_into().unwrap());
+    if version != PROTOCOL_VERSION {
+        shared.counters.bad_version.fetch_add(1, Ordering::Relaxed);
+        return HelloDecision::Refuse(WireError::BadVersion(PROTOCOL_VERSION));
+    }
+    let Some(tenant) = shared.tenant(tenant_id as usize) else {
+        shared
+            .counters
+            .unknown_tenant
+            .fetch_add(1, Ordering::Relaxed);
+        return HelloDecision::Refuse(WireError::UnknownTenant(tenant_id));
+    };
+    if tenant.connections.load(Ordering::SeqCst) >= tenant.max_connections {
+        tenant
+            .counters
+            .quota_rejections
+            .fetch_add(1, Ordering::Relaxed);
+        return HelloDecision::Refuse(WireError::QuotaExceeded);
+    }
+    let granted = (requested.max(1) as usize).min(tenant.max_window);
+    let mut reply = Vec::with_capacity(8);
+    reply.extend_from_slice(&(granted as u32).to_le_bytes());
+    reply.extend_from_slice(&(tenant.store.shards() as u32).to_le_bytes());
+    HelloDecision::Grant {
+        tenant,
+        window: granted,
+        reply,
+    }
+}
+
 fn handle_hello<'a>(
     conn: &mut Conn<'a>,
     frame: &Frame,
@@ -545,13 +628,15 @@ fn handle_hello<'a>(
             window,
             reply,
         } => {
-            let (submitter, reaper) = tenant.store.split_session_with_wake(SessionConfig {
+            let session = tenant.store.split_session(SessionConfig {
                 in_flight_window: window,
             });
-            let Some(wake_fd) = reaper.wake_fd() else {
-                // No eventfd for this session (fd exhaustion): the loop
-                // would never learn about completions, so refuse rather
-                // than serve a half-working connection.
+            // No eventfd for this session (fd exhaustion) means the loop
+            // would never learn about completions: refuse rather than
+            // serve a half-working connection.
+            let registered = session
+                .filter(|(_, reaper)| epoll.add(reaper.wake_fd(), EPOLLIN, (conn.id << 1) | 1));
+            let Some((submitter, reaper)) = registered else {
                 tenant
                     .counters
                     .quota_rejections
@@ -559,14 +644,6 @@ fn handle_hello<'a>(
                 queue_wire_err(&mut conn.wbuf, frame.req_id, &WireError::QuotaExceeded);
                 return Some(ConnEnd::Goodbye);
             };
-            if !epoll.add(wake_fd, EPOLLIN, (conn.id << 1) | 1) {
-                tenant
-                    .counters
-                    .quota_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                queue_wire_err(&mut conn.wbuf, frame.req_id, &WireError::QuotaExceeded);
-                return Some(ConnEnd::Goodbye);
-            }
             tenant.connections.fetch_add(1, Ordering::SeqCst);
             tenant
                 .counters
@@ -579,7 +656,6 @@ fn handle_hello<'a>(
                 reaper,
                 by_ticket: HashMap::new(),
                 ids: HashSet::new(),
-                wake_fd,
             });
             None
         }
@@ -590,9 +666,9 @@ fn handle_hello<'a>(
     }
 }
 
-/// The reactor's port of the threaded `reader_loop` dispatch — same
-/// opcodes, same counters, same duplicate-id rules, but rejections and
-/// synchronous replies land in the write buffer instead of a socket.
+/// Dispatches one frame on an open session. Rejections and synchronous
+/// replies land in the write buffer; store operations go through the
+/// session and answer when their completions are reaped.
 fn handle_op(conn: &mut Conn<'_>, frame: &Frame) -> Option<ConnEnd> {
     let Conn {
         ref mut wbuf,
@@ -652,6 +728,67 @@ fn handle_op(conn: &mut Conn<'_>, frame: &Frame) -> Option<ConnEnd> {
     }
 }
 
+/// Executes a tamper-injection frame synchronously (it bypasses the
+/// session pipeline by design) and returns the reply's tag + payload.
+fn exec_tamper(tenant: &Tenant, frame: &Frame) -> (u8, Vec<u8>) {
+    let p = &frame.payload;
+    let bad_frame = |tenant: &Tenant| {
+        tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
+        encode_server_error(&WireError::BadFrame)
+    };
+    if p.len() != 13 {
+        return bad_frame(tenant);
+    }
+    let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
+    let bit = u32::from_le_bytes(p[8..12].try_into().unwrap());
+    let result = match p[12] {
+        0 => tenant.store.tamper_data_bit(addr, bit),
+        1 => tenant.store.tamper_sideband_bit(addr, bit),
+        _ => return bad_frame(tenant),
+    };
+    match result {
+        Ok(()) => {
+            tenant.counters.ops_ok.fetch_add(1, Ordering::Relaxed);
+            (protocol::STATUS_OK, Vec::new())
+        }
+        Err(e) => {
+            tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
+            encode_store_error(&e)
+        }
+    }
+}
+
+/// Decodes a READ/WRITE/CAS frame and submits it to the session;
+/// `None` when the payload is malformed.
+fn submit_op(
+    submitter: &mut SessionSubmitter<'_>,
+    frame: &Frame,
+) -> Option<Result<Ticket, StoreError>> {
+    let p = &frame.payload;
+    Some(match frame.tag {
+        op::READ if p.len() == 8 => {
+            let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
+            submitter.submit(StoreOp::Read { addr })
+        }
+        op::WRITE if p.len() == 8 + BLOCK_BYTES => {
+            let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
+            let data: [u8; BLOCK_BYTES] = p[8..].try_into().unwrap();
+            submitter.submit(StoreOp::Write { addr, data })
+        }
+        op::CAS if p.len() == 8 + 2 * BLOCK_BYTES => {
+            let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
+            let expected: [u8; BLOCK_BYTES] = p[8..8 + BLOCK_BYTES].try_into().unwrap();
+            let new: [u8; BLOCK_BYTES] = p[8 + BLOCK_BYTES..].try_into().unwrap();
+            submitter.submit_rmw(addr, move |block| {
+                if *block == expected {
+                    *block = new;
+                }
+            })
+        }
+        _ => return None,
+    })
+}
+
 /// Submits one already-dup-checked operation frame. Returns the frame
 /// back when the store is saturated ([`StoreError::Overloaded`] covers
 /// both the shared shard queue and the session window): the caller
@@ -665,25 +802,25 @@ fn submit_checked(pipe: &mut Pipe<'_>, wbuf: &mut Vec<u8>, frame: Frame) -> Opti
         return None;
     };
     match submit_op(submitter, &frame) {
-        Submitted::Ticket(ticket) => {
+        Some(Ok(ticket)) => {
             pipe.by_ticket.insert(ticket, frame.req_id);
             None
         }
-        Submitted::Rejected(StoreError::Overloaded { .. }) => {
+        Some(Err(StoreError::Overloaded { .. })) => {
             pipe.tenant
                 .counters
                 .overload_stalls
                 .fetch_add(1, Ordering::Relaxed);
             Some(frame)
         }
-        Submitted::Rejected(e) => {
+        Some(Err(e)) => {
             pipe.ids.remove(&frame.req_id);
             pipe.tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
             let (tag, payload) = encode_store_error(&e);
             queue_frame(wbuf, tag, frame.req_id, &payload);
             None
         }
-        Submitted::Malformed => {
+        None => {
             pipe.ids.remove(&frame.req_id);
             pipe.tenant
                 .counters
@@ -737,9 +874,9 @@ fn on_session_wake(conn: &mut Conn<'_>) {
         if let Some(id) = req_id {
             pipe.ids.remove(&id);
         }
-        // Same rationale as the threaded writer: an unknown ticket
-        // cannot happen, but a best-effort id of 0 beats losing a
-        // response silently.
+        // An unknown ticket cannot happen (every submitted ticket is
+        // registered before the loop moves on), but a best-effort id of
+        // 0 beats losing a response silently.
         let req_id = req_id.unwrap_or(0);
         match result {
             Ok(value) => {
@@ -780,10 +917,9 @@ fn begin_drain(conn: &mut Conn<'_>, why: ConnEnd) {
     }
 }
 
-/// The reactor's port of the threaded shutdown contract: buffered
-/// frames get typed rejections (never silence), nothing new is
-/// admitted, in-flight completions drain, and the connection ends with
-/// a shutting-down notice.
+/// The shutdown contract: buffered frames get typed rejections (never
+/// silence), nothing new is admitted, in-flight completions drain, and
+/// the connection ends with a shutting-down notice.
 fn begin_shutdown(conn: &mut Conn<'_>, max_frame: u32) {
     if conn.end.is_some() {
         // Already ending for another reason; that drain continues.
@@ -862,7 +998,7 @@ fn advance<'a>(conn: &mut Conn<'a>, shared: &'a Shared, epoll: &Epoll) {
             queue_frame(&mut conn.wbuf, code::SHUTTING_DOWN, 0, &[]);
         }
         if let State::Open(pipe) = std::mem::replace(&mut conn.state, State::Flush) {
-            epoll.del(pipe.wake_fd);
+            epoll.del(pipe.reaper.wake_fd());
             pipe.tenant.connections.fetch_sub(1, Ordering::SeqCst);
             // `pipe` drops here: the reaper releases the session and
             // (with the last Arc) closes the eventfd.
@@ -903,7 +1039,7 @@ fn force_close(conn: &mut Conn<'_>, epoll: &Epoll) {
     conn.stalled = None;
     conn.wbuf.clear();
     if let State::Open(pipe) = std::mem::replace(&mut conn.state, State::Flush) {
-        epoll.del(pipe.wake_fd);
+        epoll.del(pipe.reaper.wake_fd());
         pipe.tenant.connections.fetch_sub(1, Ordering::SeqCst);
     }
     if conn.end.is_none() {

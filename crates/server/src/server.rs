@@ -1,27 +1,18 @@
 //! The serving loop: a TCP listener, per-tenant stores with quotas and
-//! telemetry, and two interchangeable connection-serving planes.
+//! telemetry, and the epoll reactor that serves every connection.
 //!
 //! # Threading model
 //!
-//! One accept thread, plus one of two serving modes ([`ServerMode`],
-//! identical wire behaviour, no async runtime):
-//!
-//! * **Reactor** (the default): a small fixed pool of epoll event-loop
-//!   threads (see [`crate::reactor`]); each connection is a nonblocking
-//!   state machine owned by one loop, and shard workers rouse the loop
-//!   through per-session eventfd wakeups when completions land. Thread
-//!   count is constant no matter how many clients connect. On hosts
-//!   without epoll the server falls back to threaded mode with a
-//!   recorded telemetry gauge — never a silent behaviour change.
-//! * **Threaded** (the PR 7 model): **two** threads per connection. The
-//!   connection's *reader* thread parses frames and submits operations
-//!   through a [`SessionSubmitter`]; a scoped *writer* thread blocks on
-//!   the paired [`SessionReaper`] and streams completions back as they
-//!   finish (out of order across shards, FIFO within one — the store's
-//!   ordering contract travels the wire unchanged). Rejections that
-//!   never reach the store (malformed frames, duplicate request ids,
-//!   window overload) are answered inline by the reader through a
-//!   shared write-half mutex.
+//! One accept thread plus a small fixed pool of epoll event-loop threads
+//! (see [`crate::reactor`]), no async runtime. The accept thread hands
+//! each connection to one loop, round-robin; that loop owns it as a
+//! nonblocking state machine for its whole life, and shard workers rouse
+//! the loop through per-session eventfd wakeups when completions land.
+//! Thread count is constant no matter how many clients connect.
+//! Completions stream back as they finish (out of order across shards,
+//! FIFO within one — the store's ordering contract travels the wire
+//! unchanged). A host without epoll or eventfd cannot serve:
+//! [`Server::bind`] fails with [`io::ErrorKind::Unsupported`].
 //!
 //! # Tenancy
 //!
@@ -35,29 +26,22 @@
 //!
 //! # Shutdown
 //!
-//! [`Server::shutdown`] flips a flag, wakes the accept loop, and lets
-//! every connection drain: readers stop admitting operations (answering
-//! [`code::SHUTTING_DOWN`](crate::protocol::code::SHUTTING_DOWN)),
-//! writers flush every already-submitted completion — no acked response
-//! is lost — and each connection ends with a typed shutting-down notice
-//! (request id 0). Only then are the stores shut down through their
-//! durable checkpoint path.
+//! [`Server::shutdown`] flips a flag, wakes the accept thread and every
+//! event loop, and lets every connection drain: buffered requests are
+//! answered [`code::SHUTTING_DOWN`](crate::protocol::code::SHUTTING_DOWN),
+//! every already-submitted completion is still delivered — no acked
+//! response is lost — and each connection ends with a typed
+//! shutting-down notice (request id 0). Only then are the stores shut
+//! down through their durable checkpoint path.
 
-use crate::protocol::{
-    self, code, encode_server_error, encode_store_error, op, write_frame, Frame, FrameError,
-    WireError, DEFAULT_MAX_FRAME, HEADER_BYTES, PROTOCOL_VERSION,
-};
-use ame_store::{
-    Reaped, SecureStore, SessionConfig, SessionSubmitter, ShutdownReport, StoreConfig, StoreError,
-    StoreOp, StoreValue, Ticket, BLOCK_BYTES,
-};
+use crate::protocol::{code, write_frame, DEFAULT_MAX_FRAME};
+use ame_store::{SecureStore, ShutdownReport, StoreConfig};
 use ame_telemetry::{Snapshot, StatsRegistry};
-use std::collections::{HashMap, HashSet};
-use std::io::{self, ErrorKind, Read};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
@@ -100,14 +84,9 @@ impl TenantSpec {
 /// How connections are served after `accept`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServerMode {
-    /// Two OS threads per connection. Simple, but thread count grows
-    /// with the client population.
-    Threaded,
     /// A fixed pool of epoll event-loop threads; each connection is a
     /// nonblocking state machine. Thread count stays constant no matter
-    /// how many clients connect. Requires epoll + eventfd; on other
-    /// hosts the server falls back to [`ServerMode::Threaded`] and
-    /// records the fallback in telemetry.
+    /// how many clients connect. Requires epoll + eventfd.
     Reactor {
         /// Event-loop thread count (clamped to at least 1).
         threads: usize,
@@ -122,16 +101,6 @@ impl ServerMode {
             threads: default_reactor_threads(),
         }
     }
-
-    /// `"threaded"` or `"reactor"` — the provenance string benches
-    /// record next to their numbers.
-    #[must_use]
-    pub fn name(&self) -> &'static str {
-        match self {
-            Self::Threaded => "threaded",
-            Self::Reactor { .. } => "reactor",
-        }
-    }
 }
 
 /// `min(4, available cores)`: a handful of event loops saturates the
@@ -140,7 +109,7 @@ impl ServerMode {
 #[must_use]
 pub fn default_reactor_threads() -> usize {
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    cores.min(4).max(1)
+    cores.clamp(1, 4)
 }
 
 /// Server-wide knobs.
@@ -151,10 +120,10 @@ pub struct ServerConfig {
     /// Ceiling on the frame length prefix; larger prefixes are hostile
     /// and close the connection.
     pub max_frame: u32,
-    /// How often blocked reads and reaps wake to check the shutdown
-    /// flag. Latency of shutdown, not of requests.
+    /// How often an idle event loop wakes to check the shutdown flag.
+    /// Latency of shutdown, not of requests.
     pub poll_interval: Duration,
-    /// Connection-serving plane. Defaults to the reactor.
+    /// Event-loop pool shape. Defaults to [`ServerMode::reactor`].
     pub mode: ServerMode,
 }
 
@@ -180,8 +149,8 @@ pub(crate) struct TenantCounters {
     pub(crate) duplicate_request_ids: AtomicU64,
     pub(crate) unknown_opcodes: AtomicU64,
     pub(crate) shutdown_rejections: AtomicU64,
-    /// Times a serving plane paused reading a connection because the
-    /// store reported [`StoreError::Overloaded`] — backpressure applied
+    /// Times an event loop paused reading a connection because the
+    /// store reported [`ame_store::StoreError::Overloaded`] — backpressure applied
     /// instead of bouncing a valid operation back to the client.
     pub(crate) overload_stalls: AtomicU64,
 }
@@ -210,12 +179,7 @@ pub(crate) struct Shared {
     pub(crate) shutdown: AtomicBool,
     pub(crate) max_frame: u32,
     pub(crate) poll_interval: Duration,
-    pub(crate) conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    /// `Some` when serving in reactor mode.
-    pub(crate) reactor: Option<crate::reactor::ReactorPool>,
-    /// True when a reactor was requested but the host has no epoll, so
-    /// the server is running threaded instead.
-    pub(crate) reactor_fallback: bool,
+    pub(crate) reactor: crate::reactor::ReactorPool,
 }
 
 impl Shared {
@@ -245,7 +209,9 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and durable-store open failures.
+    /// Propagates bind failures and durable-store open failures;
+    /// [`io::ErrorKind::Unsupported`] when the host cannot build the
+    /// event loops (no epoll or eventfd, or descriptor exhaustion).
     ///
     /// # Panics
     ///
@@ -261,6 +227,13 @@ impl Server {
             ids.dedup();
             assert_eq!(ids.len(), config.tenants.len(), "tenant ids must be unique");
         }
+        let ServerMode::Reactor { threads } = config.mode;
+        let (pool, seeds) = crate::reactor::prepare(threads.max(1)).ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::Unsupported,
+                "the connection reactor needs epoll and eventfd",
+            )
+        })?;
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let mut tenants = Vec::with_capacity(config.tenants.len());
@@ -280,26 +253,13 @@ impl Server {
                 counters: TenantCounters::default(),
             });
         }
-        // Resolve the serving mode up front: if the host cannot build
-        // the epoll/eventfd plumbing, fall back to threaded serving and
-        // say so in telemetry — never a silent half-working reactor.
-        let (pool, seeds) = match config.mode {
-            ServerMode::Threaded => (None, Vec::new()),
-            ServerMode::Reactor { threads } => match crate::reactor::prepare(threads.max(1)) {
-                Some((pool, seeds)) => (Some(pool), seeds),
-                None => (None, Vec::new()),
-            },
-        };
-        let reactor_fallback = matches!(config.mode, ServerMode::Reactor { .. }) && pool.is_none();
         let shared = Arc::new(Shared {
             tenants,
             counters: ServerCounters::default(),
             shutdown: AtomicBool::new(false),
             max_frame: config.max_frame,
             poll_interval: config.poll_interval,
-            conn_handles: Mutex::new(Vec::new()),
             reactor: pool,
-            reactor_fallback,
         });
         for seed in seeds {
             let reactor_shared = Arc::clone(&shared);
@@ -307,11 +267,7 @@ impl Server {
                 .name("ame-server-reactor".into())
                 .spawn(move || crate::reactor::reactor_thread(&reactor_shared, seed))
                 .expect("spawn reactor thread");
-            shared
-                .reactor
-                .as_ref()
-                .expect("seeds imply a pool")
-                .push_handle(handle);
+            shared.reactor.push_handle(handle);
         }
         let accept_shared = Arc::clone(&shared);
         let accept_handle = thread::Builder::new()
@@ -331,21 +287,10 @@ impl Server {
         self.addr
     }
 
-    /// The serving mode actually running — `"reactor"` or `"threaded"`.
-    /// Reports the post-fallback truth, not what was requested.
-    #[must_use]
-    pub fn mode_name(&self) -> &'static str {
-        if self.shared.reactor.is_some() {
-            "reactor"
-        } else {
-            "threaded"
-        }
-    }
-
-    /// Event-loop thread count (0 when serving threaded).
+    /// Event-loop thread count.
     #[must_use]
     pub fn reactor_threads(&self) -> usize {
-        self.shared.reactor.as_ref().map_or(0, |p| p.threads())
+        self.shared.reactor.threads()
     }
 
     /// Snapshot of the full metric tree: per-tenant store metrics under
@@ -369,10 +314,6 @@ impl Server {
             c.pre_hello_failures.load(Ordering::Relaxed),
         );
         reg.set_gauge("server/reactor_threads", self.reactor_threads() as f64);
-        reg.set_gauge(
-            "server/reactor_fallback",
-            f64::from(u8::from(self.shared.reactor_fallback)),
-        );
         for t in &self.shared.tenants {
             let scope = format!("server/tenant{}", t.id);
             t.store.collect(&mut reg, &format!("{scope}/store"));
@@ -417,15 +358,10 @@ impl Server {
         if let Some(handle) = self.accept_handle.take() {
             handle.join().expect("accept thread panicked");
         }
-        if let Some(pool) = &self.shared.reactor {
-            pool.wake_all();
-            for handle in pool.take_handles() {
-                handle.join().expect("reactor thread panicked");
-            }
-        }
-        let handles = std::mem::take(&mut *self.shared.conn_handles.lock().unwrap());
-        for handle in handles {
-            handle.join().expect("connection thread panicked");
+        let pool = &self.shared.reactor;
+        pool.wake_all();
+        for handle in pool.take_handles() {
+            handle.join().expect("reactor thread panicked");
         }
         let shared = Arc::try_unwrap(self.shared)
             .unwrap_or_else(|_| panic!("serving threads still hold the server state"));
@@ -437,7 +373,7 @@ impl Server {
     }
 }
 
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
+fn accept_loop(listener: &TcpListener, shared: &Shared) {
     loop {
         let stream = match listener.accept() {
             Ok((stream, _)) => stream,
@@ -457,505 +393,6 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             .counters
             .connections_accepted
             .fetch_add(1, Ordering::Relaxed);
-        if let Some(pool) = &shared.reactor {
-            pool.dispatch(stream);
-            continue;
-        }
-        let conn_shared = Arc::clone(shared);
-        let handle = thread::Builder::new()
-            .name("ame-server-conn".into())
-            .spawn(move || serve_connection(&conn_shared, stream))
-            .expect("spawn connection thread");
-        shared.conn_handles.lock().unwrap().push(handle);
-    }
-}
-
-/// Incremental frame reader: accumulates bytes across read timeouts so
-/// a poll deadline in the middle of a frame never desynchronises the
-/// stream.
-struct ConnReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-    max_frame: u32,
-}
-
-enum Polled {
-    Frame(Frame),
-    /// Read timeout with no complete frame buffered.
-    Idle,
-    /// Peer closed (or the transport failed).
-    Eof,
-    /// Unrecoverable framing violation.
-    Malformed,
-}
-
-impl ConnReader {
-    fn poll(&mut self) -> Polled {
-        loop {
-            match self.try_parse() {
-                Ok(Some(frame)) => return Polled::Frame(frame),
-                Ok(None) => {}
-                Err(_) => return Polled::Malformed,
-            }
-            let mut chunk = [0u8; 4096];
-            match self.stream.read(&mut chunk) {
-                Ok(0) => return Polled::Eof,
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                    return Polled::Idle
-                }
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return Polled::Eof,
-            }
-        }
-    }
-
-    fn try_parse(&mut self) -> Result<Option<Frame>, FrameError> {
-        try_parse_frame(&mut self.buf, self.max_frame)
-    }
-}
-
-/// Pops one complete frame off the front of `buf`, if one is buffered.
-/// `Ok(None)` means "keep reading"; an error is a framing violation that
-/// desynchronises the stream (the connection must close). Shared by the
-/// threaded reader and the reactor's per-connection state machine.
-pub(crate) fn try_parse_frame(
-    buf: &mut Vec<u8>,
-    max_frame: u32,
-) -> Result<Option<Frame>, FrameError> {
-    if buf.len() < 4 {
-        return Ok(None);
-    }
-    let len = u32::from_le_bytes(buf[..4].try_into().unwrap());
-    if len > max_frame {
-        return Err(FrameError::Oversized {
-            len,
-            max: max_frame,
-        });
-    }
-    if (len as usize) < HEADER_BYTES {
-        return Err(FrameError::TooShort { len });
-    }
-    let total = 4 + len as usize;
-    if buf.len() < total {
-        return Ok(None);
-    }
-    let tag = buf[4];
-    let req_id = u64::from_le_bytes(buf[5..13].try_into().unwrap());
-    let payload = buf[13..total].to_vec();
-    buf.drain(..total);
-    Ok(Some(Frame {
-        tag,
-        req_id,
-        payload,
-    }))
-}
-
-/// Reader/writer shared bookkeeping for one connection: which request
-/// id each in-flight ticket answers.
-#[derive(Default)]
-struct InFlight {
-    by_ticket: HashMap<Ticket, u64>,
-    ids: HashSet<u64>,
-}
-
-type WriteHalf = Arc<Mutex<TcpStream>>;
-
-fn respond(wr: &WriteHalf, tag: u8, req_id: u64, payload: &[u8]) -> io::Result<()> {
-    let mut stream = wr.lock().unwrap();
-    write_frame(&mut *stream, tag, req_id, payload)
-}
-
-fn respond_err(wr: &WriteHalf, req_id: u64, e: &WireError) -> io::Result<()> {
-    let (tag, payload) = encode_server_error(e);
-    respond(wr, tag, req_id, &payload)
-}
-
-/// Why a connection's serving loop ended, deciding the closing notice.
-pub(crate) enum ConnEnd {
-    Goodbye,
-    Eof,
-    Shutdown,
-    Malformed,
-}
-
-/// Outcome of evaluating a `Hello` frame against server state. Counter
-/// updates happen inside [`evaluate_hello`]; admission bookkeeping
-/// (`connections` increment, session split) stays with the caller.
-pub(crate) enum HelloDecision<'a> {
-    /// Admit: reply with `reply` (tagged `STATUS_OK`), then serve
-    /// `tenant` with a per-shard window of `window`.
-    Grant {
-        tenant: &'a Tenant,
-        window: usize,
-        reply: Vec<u8>,
-    },
-    /// Refuse with this typed error, then close.
-    Refuse(WireError),
-}
-
-/// Shared `Hello` policy: frame shape, protocol version, tenant lookup,
-/// connection quota, window clamp. Both serving planes route their
-/// handshake through here so admission rules can never drift apart.
-pub(crate) fn evaluate_hello<'a>(shared: &'a Shared, frame: &Frame) -> HelloDecision<'a> {
-    if frame.tag != op::HELLO || frame.payload.len() != 12 {
-        shared
-            .counters
-            .pre_hello_failures
-            .fetch_add(1, Ordering::Relaxed);
-        return HelloDecision::Refuse(WireError::BadFrame);
-    }
-    let version = u32::from_le_bytes(frame.payload[0..4].try_into().unwrap());
-    let tenant_id = u32::from_le_bytes(frame.payload[4..8].try_into().unwrap());
-    let requested = u32::from_le_bytes(frame.payload[8..12].try_into().unwrap());
-    if version != PROTOCOL_VERSION {
-        shared.counters.bad_version.fetch_add(1, Ordering::Relaxed);
-        return HelloDecision::Refuse(WireError::BadVersion(PROTOCOL_VERSION));
-    }
-    let Some(tenant) = shared.tenant(tenant_id as usize) else {
-        shared
-            .counters
-            .unknown_tenant
-            .fetch_add(1, Ordering::Relaxed);
-        return HelloDecision::Refuse(WireError::UnknownTenant(tenant_id));
-    };
-    if tenant.connections.load(Ordering::SeqCst) >= tenant.max_connections {
-        tenant
-            .counters
-            .quota_rejections
-            .fetch_add(1, Ordering::Relaxed);
-        return HelloDecision::Refuse(WireError::QuotaExceeded);
-    }
-    let granted = (requested.max(1) as usize).min(tenant.max_window);
-    let mut reply = Vec::with_capacity(8);
-    reply.extend_from_slice(&(granted as u32).to_le_bytes());
-    reply.extend_from_slice(&(tenant.store.shards() as u32).to_le_bytes());
-    HelloDecision::Grant {
-        tenant,
-        window: granted,
-        reply,
-    }
-}
-
-fn serve_connection(shared: &Arc<Shared>, stream: TcpStream) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(shared.poll_interval));
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = ConnReader {
-        stream: read_half,
-        buf: Vec::new(),
-        max_frame: shared.max_frame,
-    };
-    let wr: WriteHalf = Arc::new(Mutex::new(stream));
-
-    let Some((tenant, window)) = handshake(shared, &mut reader, &wr) else {
-        return;
-    };
-    tenant.connections.fetch_add(1, Ordering::SeqCst);
-    tenant
-        .counters
-        .connections_accepted
-        .fetch_add(1, Ordering::Relaxed);
-
-    let (submitter, reaper) = tenant.store.split_session_with(SessionConfig {
-        in_flight_window: window,
-    });
-    let in_flight = Mutex::new(InFlight::default());
-    let end = thread::scope(|s| {
-        let writer = s.spawn(|| writer_loop(reaper, &in_flight, &wr, tenant, shared.poll_interval));
-        let end = reader_loop(shared, tenant, &mut reader, submitter, &in_flight, &wr);
-        // `submitter` died with reader_loop; the writer drains the
-        // stragglers (acked work is never dropped) and sees Closed.
-        writer.join().expect("connection writer panicked");
-        end
-    });
-    if matches!(end, ConnEnd::Shutdown) {
-        let _ = respond(&wr, code::SHUTTING_DOWN, 0, &[]);
-    }
-    tenant.connections.fetch_sub(1, Ordering::SeqCst);
-}
-
-/// Runs the `Hello` exchange. `None` means the connection was refused
-/// (a typed response was already sent where possible).
-fn handshake<'a>(
-    shared: &'a Arc<Shared>,
-    reader: &mut ConnReader,
-    wr: &WriteHalf,
-) -> Option<(&'a Tenant, usize)> {
-    let frame = loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            let _ = respond_err(wr, 0, &WireError::ShuttingDown);
-            return None;
-        }
-        match reader.poll() {
-            Polled::Frame(frame) => break frame,
-            Polled::Idle => {}
-            Polled::Eof => return None,
-            Polled::Malformed => {
-                shared
-                    .counters
-                    .pre_hello_failures
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, 0, &WireError::BadFrame);
-                return None;
-            }
-        }
-    };
-    match evaluate_hello(shared, &frame) {
-        HelloDecision::Grant {
-            tenant,
-            window,
-            reply,
-        } => {
-            if respond(wr, protocol::STATUS_OK, frame.req_id, &reply).is_err() {
-                return None;
-            }
-            Some((tenant, window))
-        }
-        HelloDecision::Refuse(e) => {
-            let _ = respond_err(wr, frame.req_id, &e);
-            None
-        }
-    }
-}
-
-fn reader_loop(
-    shared: &Arc<Shared>,
-    tenant: &Tenant,
-    reader: &mut ConnReader,
-    mut submitter: SessionSubmitter<'_>,
-    in_flight: &Mutex<InFlight>,
-    wr: &WriteHalf,
-) -> ConnEnd {
-    loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Already-buffered requests get a typed rejection instead of
-            // silence; nothing new is admitted to the store.
-            while let Ok(Some(frame)) = reader.try_parse() {
-                tenant
-                    .counters
-                    .shutdown_rejections
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, frame.req_id, &WireError::ShuttingDown);
-            }
-            return ConnEnd::Shutdown;
-        }
-        let frame = match reader.poll() {
-            Polled::Frame(frame) => frame,
-            Polled::Idle => continue,
-            Polled::Eof => return ConnEnd::Eof,
-            Polled::Malformed => {
-                tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, 0, &WireError::BadFrame);
-                return ConnEnd::Malformed;
-            }
-        };
-        match frame.tag {
-            op::GOODBYE => {
-                let _ = respond(wr, protocol::STATUS_OK, frame.req_id, &[]);
-                return ConnEnd::Goodbye;
-            }
-            op::READ | op::WRITE | op::CAS => {
-                // The state lock is held across submit → map insert so
-                // the writer (which takes the same lock before looking a
-                // completion up) can never observe a ticket whose
-                // request id is not yet recorded.
-                let mut state = in_flight.lock().unwrap();
-                if !state.ids.insert(frame.req_id) {
-                    drop(state);
-                    reject_duplicate(tenant, wr, frame.req_id);
-                    continue;
-                }
-                loop {
-                    match submit_op(&mut submitter, &frame) {
-                        Submitted::Ticket(ticket) => {
-                            state.by_ticket.insert(ticket, frame.req_id);
-                            break;
-                        }
-                        Submitted::Rejected(StoreError::Overloaded { .. }) => {
-                            // Saturation is backpressure, not an error:
-                            // stop reading this connection (the lock is
-                            // released so the writer keeps draining) and
-                            // retry once the store has breathed.
-                            drop(state);
-                            tenant
-                                .counters
-                                .overload_stalls
-                                .fetch_add(1, Ordering::Relaxed);
-                            thread::sleep(Duration::from_micros(200));
-                            if shared.shutdown.load(Ordering::SeqCst) {
-                                tenant
-                                    .counters
-                                    .shutdown_rejections
-                                    .fetch_add(1, Ordering::Relaxed);
-                                let _ = respond_err(wr, frame.req_id, &WireError::ShuttingDown);
-                                return ConnEnd::Shutdown;
-                            }
-                            state = in_flight.lock().unwrap();
-                        }
-                        Submitted::Rejected(e) => {
-                            state.ids.remove(&frame.req_id);
-                            drop(state);
-                            tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
-                            let (tag, payload) = encode_store_error(&e);
-                            let _ = respond(wr, tag, frame.req_id, &payload);
-                            break;
-                        }
-                        Submitted::Malformed => {
-                            state.ids.remove(&frame.req_id);
-                            drop(state);
-                            tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                            let _ = respond_err(wr, frame.req_id, &WireError::BadFrame);
-                            break;
-                        }
-                    }
-                }
-            }
-            op::TAMPER => {
-                if !in_flight.lock().unwrap().ids.contains(&frame.req_id) {
-                    handle_tamper(tenant, wr, &frame);
-                } else {
-                    reject_duplicate(tenant, wr, frame.req_id);
-                }
-            }
-            op::HELLO => {
-                tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, frame.req_id, &WireError::BadFrame);
-            }
-            other => {
-                tenant
-                    .counters
-                    .unknown_opcodes
-                    .fetch_add(1, Ordering::Relaxed);
-                let _ = respond_err(wr, frame.req_id, &WireError::UnknownOpcode(other));
-            }
-        }
-    }
-}
-
-fn reject_duplicate(tenant: &Tenant, wr: &WriteHalf, req_id: u64) {
-    tenant
-        .counters
-        .duplicate_request_ids
-        .fetch_add(1, Ordering::Relaxed);
-    let _ = respond_err(wr, req_id, &WireError::DuplicateRequestId);
-}
-
-pub(crate) enum Submitted {
-    Ticket(Ticket),
-    Rejected(StoreError),
-    Malformed,
-}
-
-pub(crate) fn submit_op(submitter: &mut SessionSubmitter<'_>, frame: &Frame) -> Submitted {
-    let p = &frame.payload;
-    let result = match frame.tag {
-        op::READ if p.len() == 8 => {
-            let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
-            submitter.submit(StoreOp::Read { addr })
-        }
-        op::WRITE if p.len() == 8 + BLOCK_BYTES => {
-            let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
-            let data: [u8; BLOCK_BYTES] = p[8..].try_into().unwrap();
-            submitter.submit(StoreOp::Write { addr, data })
-        }
-        op::CAS if p.len() == 8 + 2 * BLOCK_BYTES => {
-            let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
-            let expected: [u8; BLOCK_BYTES] = p[8..8 + BLOCK_BYTES].try_into().unwrap();
-            let new: [u8; BLOCK_BYTES] = p[8 + BLOCK_BYTES..].try_into().unwrap();
-            submitter.submit_rmw(addr, move |block| {
-                if *block == expected {
-                    *block = new;
-                }
-            })
-        }
-        _ => return Submitted::Malformed,
-    };
-    match result {
-        Ok(ticket) => Submitted::Ticket(ticket),
-        Err(e) => Submitted::Rejected(e),
-    }
-}
-
-fn handle_tamper(tenant: &Tenant, wr: &WriteHalf, frame: &Frame) {
-    let (tag, payload) = exec_tamper(tenant, frame);
-    let _ = respond(wr, tag, frame.req_id, &payload);
-}
-
-/// Executes a tamper-injection frame synchronously (it bypasses the
-/// session pipeline by design) and returns the reply's tag + payload.
-/// Counter updates happen here; shared by both serving planes.
-pub(crate) fn exec_tamper(tenant: &Tenant, frame: &Frame) -> (u8, Vec<u8>) {
-    let p = &frame.payload;
-    let bad_frame = |tenant: &Tenant| {
-        tenant.counters.bad_frames.fetch_add(1, Ordering::Relaxed);
-        encode_server_error(&WireError::BadFrame)
-    };
-    if p.len() != 13 {
-        return bad_frame(tenant);
-    }
-    let addr = u64::from_le_bytes(p[..8].try_into().unwrap());
-    let bit = u32::from_le_bytes(p[8..12].try_into().unwrap());
-    let result = match p[12] {
-        0 => tenant.store.tamper_data_bit(addr, bit),
-        1 => tenant.store.tamper_sideband_bit(addr, bit),
-        _ => return bad_frame(tenant),
-    };
-    match result {
-        Ok(()) => {
-            tenant.counters.ops_ok.fetch_add(1, Ordering::Relaxed);
-            (protocol::STATUS_OK, Vec::new())
-        }
-        Err(e) => {
-            tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
-            encode_store_error(&e)
-        }
-    }
-}
-
-fn writer_loop(
-    mut reaper: ame_store::SessionReaper<'_>,
-    in_flight: &Mutex<InFlight>,
-    wr: &WriteHalf,
-    tenant: &Tenant,
-    poll: Duration,
-) {
-    loop {
-        match reaper.recv_timeout(poll) {
-            Reaped::Completion(ticket, result) => {
-                let req_id = {
-                    let mut state = in_flight.lock().unwrap();
-                    let req_id = state.by_ticket.remove(&ticket);
-                    if let Some(id) = req_id {
-                        state.ids.remove(&id);
-                    }
-                    req_id
-                };
-                // A ticket with no request id cannot happen (every
-                // submitted ticket is registered before the reader moves
-                // on), but losing a response silently would be worse
-                // than a best-effort id of 0.
-                let req_id = req_id.unwrap_or(0);
-                match result {
-                    Ok(value) => {
-                        tenant.counters.ops_ok.fetch_add(1, Ordering::Relaxed);
-                        let payload: &[u8] = match &value {
-                            StoreValue::Data(b) | StoreValue::Modified(b) => b,
-                            StoreValue::Written => &[],
-                        };
-                        let _ = respond(wr, protocol::STATUS_OK, req_id, payload);
-                    }
-                    Err(e) => {
-                        tenant.counters.ops_err.fetch_add(1, Ordering::Relaxed);
-                        let (tag, payload) = encode_store_error(&e);
-                        let _ = respond(wr, tag, req_id, &payload);
-                    }
-                }
-            }
-            Reaped::TimedOut => {}
-            Reaped::Closed => return,
-        }
+        shared.reactor.dispatch(stream);
     }
 }

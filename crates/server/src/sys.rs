@@ -7,9 +7,8 @@
 //!
 //! Failure is never silent but always *detectable up front*:
 //! [`Epoll::new`] returns `None` on hosts without epoll (any non-Linux
-//! OS, or fd exhaustion), and the server reacts by falling back to
-//! thread-per-connection serving with a recorded telemetry gauge —
-//! the reactor is an acceleration, not a correctness requirement.
+//! OS, or fd exhaustion), and `Server::bind` then fails with
+//! `io::ErrorKind::Unsupported` — the reactor is the only serving plane.
 
 #![allow(unsafe_code)]
 
@@ -184,7 +183,7 @@ mod imp {
 /// A safe handle on one epoll interest set.
 ///
 /// `None` from [`Epoll::new`] is the host's way of saying "no reactor
-/// here" — the caller must fall back, visibly.
+/// here" — the server refuses to bind.
 #[derive(Debug)]
 pub(crate) struct Epoll {
     raw: imp::RawEpoll,

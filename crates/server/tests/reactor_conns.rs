@@ -8,7 +8,7 @@
 use ame_server::protocol::{
     self, op, read_frame, write_frame, DEFAULT_MAX_FRAME, PROTOCOL_VERSION,
 };
-use ame_server::{PipelinedClient, Server, ServerConfig, ServerMode, TenantSpec};
+use ame_server::{PipelinedClient, Server, ServerConfig, TenantSpec};
 use ame_store::{StoreConfig, BLOCK_BYTES};
 use std::io::Write;
 use std::net::TcpStream;
@@ -29,7 +29,6 @@ fn reactor_server(max_connections: usize) -> Server {
         "127.0.0.1:0",
         ServerConfig {
             tenants: vec![spec],
-            mode: ServerMode::reactor(),
             ..ServerConfig::default()
         },
     )
@@ -62,12 +61,6 @@ fn write_op_frame(req_id: u64, addr: u64, fill: u8) -> Vec<u8> {
 #[test]
 fn slow_loris_hello_completes_and_blocks_nobody() {
     let server = reactor_server(8);
-    if server.mode_name() != "reactor" {
-        eprintln!("host has no epoll; reactor fallback active, skipping");
-        let _ = server.shutdown();
-        return;
-    }
-
     let mut loris = TcpStream::connect(server.addr()).unwrap();
     loris.set_nodelay(true).unwrap();
     loris
@@ -102,12 +95,6 @@ fn slow_loris_hello_completes_and_blocks_nobody() {
 #[test]
 fn frame_split_across_three_writes_is_reassembled() {
     let server = reactor_server(8);
-    if server.mode_name() != "reactor" {
-        eprintln!("host has no epoll; reactor fallback active, skipping");
-        let _ = server.shutdown();
-        return;
-    }
-
     let mut stream = TcpStream::connect(server.addr()).unwrap();
     stream.set_nodelay(true).unwrap();
     stream
@@ -138,17 +125,11 @@ fn frame_split_across_three_writes_is_reassembled() {
 
 /// 500 granted-but-idle connections hold fds and sessions while one
 /// client streams a full workload — and the server never grows beyond
-/// its fixed reactor thread count. The threaded plane would need 1000
-/// OS threads for the idle horde alone.
+/// its fixed reactor thread count.
 #[test]
 fn idle_horde_holds_fds_while_one_client_streams() {
     const HORDE: usize = 500;
     let server = reactor_server(HORDE + 2);
-    if server.mode_name() != "reactor" {
-        eprintln!("host has no epoll; reactor fallback active, skipping");
-        let _ = server.shutdown();
-        return;
-    }
     let fixed_threads = server.reactor_threads();
     assert!(fixed_threads >= 1);
 
@@ -189,7 +170,7 @@ fn idle_horde_holds_fds_while_one_client_streams() {
         "the pool must not grow with connections"
     );
     let snap = server.telemetry();
-    assert!(snap.counter("server/connections_accepted").unwrap() >= (HORDE as u64) + 1);
+    assert!(snap.counter("server/connections_accepted").unwrap() > HORDE as u64);
 
     drop(horde);
     let _ = server.shutdown();

@@ -23,7 +23,7 @@
 //!   operations into one queue slot, amortizing channel and scheduling
 //!   costs.
 //! * **Backpressure** — queues are bounded: the blocking API waits for a
-//!   slot, the `try_*` API fast-fails with [`StoreError::Overloaded`].
+//!   slot, a [`Session`] submit fast-fails with [`StoreError::Overloaded`].
 //! * **Fault isolation** — a MAC/tree verification failure quarantines
 //!   only the affected shard ([`StoreError::ShardPoisoned`]); the other
 //!   shards keep serving.
@@ -61,9 +61,7 @@ mod topology;
 mod wake;
 mod wal;
 
-pub use session::{
-    Reaped, Session, SessionConfig, SessionReaper, SessionStats, SessionSubmitter, Ticket,
-};
+pub use session::{Session, SessionConfig, SessionReaper, SessionStats, SessionSubmitter, Ticket};
 pub use shard::{SealReport, ShardStats};
 pub use wake::WakeFd;
 
@@ -79,7 +77,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -204,17 +202,17 @@ impl Default for StoreConfig {
 ///
 /// Which variants an API path can produce:
 ///
-/// | Variant | blocking `read`/`write`/`read_modify_write` | `try_read`/`try_write` | [`Session::submit`] | `submit_batch` |
-/// |---|---|---|---|---|
-/// | [`OutOfRange`](StoreError::OutOfRange) / [`Unaligned`](StoreError::Unaligned) | yes | yes | yes | yes (inline per op) |
-/// | [`Overloaded`](StoreError::Overloaded) | never (waits) | yes, queue full | yes, queue **or** in-flight window full | never (waits) |
-/// | [`ShardPoisoned`](StoreError::ShardPoisoned) | yes | yes (fast-fail, no queue slot) | yes (fast-fail at submit, or on a completion) | yes |
-/// | [`Disconnected`](StoreError::Disconnected) | yes | yes | yes | yes |
-/// | [`TxnConflict`](StoreError::TxnConflict) | write/RMW only | write only | yes (on a write/RMW completion) | yes (write ops) |
+/// | Variant | blocking `read`/`write`/`read_modify_write` | [`Session::submit`] | `submit_batch` |
+/// |---|---|---|---|
+/// | [`OutOfRange`](StoreError::OutOfRange) / [`Unaligned`](StoreError::Unaligned) | yes | yes | yes (inline per op) |
+/// | [`Overloaded`](StoreError::Overloaded) | never (waits) | yes, queue **or** in-flight window full | never (waits) |
+/// | [`ShardPoisoned`](StoreError::ShardPoisoned) | yes | yes (fast-fail at submit, or on a completion) | yes |
+/// | [`Disconnected`](StoreError::Disconnected) | yes | yes | yes |
+/// | [`TxnConflict`](StoreError::TxnConflict) | write/RMW only | yes (on a write/RMW completion) | yes (write ops) |
 ///
-/// Every `try_*` or session fast-fail rejection — queue full, window
-/// full, or the poisoned-shard early return — also increments the
-/// shard's `overloads` counter ([`SecureStore::overloads`]).
+/// Every session fast-fail rejection — queue full, window full, or the
+/// poisoned-shard early return — also increments the shard's
+/// `overloads` counter ([`SecureStore::overloads`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StoreError {
     /// The address range falls outside the store's capacity.
@@ -229,8 +227,8 @@ pub enum StoreError {
         /// Offending address.
         addr: u64,
     },
-    /// The shard's bounded queue is full (fast-fail `try_*` path only;
-    /// the blocking API waits instead).
+    /// The shard's bounded queue or the session's in-flight window is
+    /// full (session submits only; the blocking API waits instead).
     Overloaded {
         /// The saturated shard.
         shard: usize,
@@ -622,20 +620,11 @@ impl SecureStore {
     /// the blocking API is literally a one-shot submit+wait over the
     /// same completion machinery [`Session`] pipelines: the request
     /// carries a single-slot completion channel and the caller parks on
-    /// it. `blocking` selects between waiting for a queue slot and the
-    /// `Overloaded`/poisoned fast-fails. The depth counter is
-    /// incremented only after a successful send, so a non-zero
-    /// [`SecureStore::queue_depth`] reading proves an operation really
-    /// occupies a queue slot.
-    fn roundtrip(&self, shard: usize, op: Op, blocking: bool) -> Result<OpOutput, StoreError> {
-        let sh = &self.shared[shard];
-        if !blocking && sh.poisoned.load(Ordering::Relaxed) {
-            // Poisoned-shard early return: don't burn a queue slot on an
-            // operation the worker would only bounce. Counted as an
-            // overload like every other fast-fail rejection.
-            sh.overloads.fetch_add(1, Ordering::Relaxed);
-            return Err(StoreError::ShardPoisoned { shard, cause: None });
-        }
+    /// it, waiting for a queue slot when the shard is saturated. The
+    /// depth counter is incremented only after a successful send, so a
+    /// non-zero [`SecureStore::queue_depth`] reading proves an operation
+    /// really occupies a queue slot.
+    fn roundtrip(&self, shard: usize, op: Op) -> Result<OpOutput, StoreError> {
         let (reply, response) = sync_channel(1);
         let request = Request::Op {
             op,
@@ -644,22 +633,10 @@ impl SecureStore {
             reply,
             wake: None,
         };
-        let sent = if blocking {
-            self.senders[shard].send(request).map_err(|_| ())
-        } else {
-            match self.senders[shard].try_send(request) {
-                Ok(()) => Ok(()),
-                Err(TrySendError::Full(_)) => {
-                    sh.overloads.fetch_add(1, Ordering::Relaxed);
-                    return Err(StoreError::Overloaded { shard });
-                }
-                Err(TrySendError::Disconnected(_)) => Err(()),
-            }
-        };
-        if sent.is_err() {
+        if self.senders[shard].send(request).is_err() {
             return Err(StoreError::Disconnected { shard });
         }
-        sh.depth.fetch_add(1, Ordering::Relaxed);
+        self.shared[shard].depth.fetch_add(1, Ordering::Relaxed);
         response
             .recv()
             .map_err(|_| StoreError::Disconnected { shard })?
@@ -678,9 +655,8 @@ impl SecureStore {
     }
 
     /// How many submissions shard `shard` has fast-failed without
-    /// queueing: `try_*` calls bounced with [`StoreError::Overloaded`]
-    /// or the poisoned-shard early return, and [`Session::submit`]
-    /// rejections (queue full, in-flight window full, or poisoned).
+    /// queueing: [`Session::submit`] rejections (queue full, in-flight
+    /// window full, or poisoned).
     ///
     /// # Panics
     ///
@@ -715,7 +691,7 @@ impl SecureStore {
     /// the shard is quarantined.
     pub fn read(&self, addr: u64) -> Result<[u8; BLOCK_BYTES], StoreError> {
         let (shard, local) = self.locate(addr)?;
-        match self.roundtrip(shard, Op::Read { local }, true)? {
+        match self.roundtrip(shard, Op::Read { local })? {
             OpOutput::Read(data) => Ok(data),
             _ => unreachable!("read op replies with data"),
         }
@@ -741,22 +717,6 @@ impl SecureStore {
         Session::new(self, config)
     }
 
-    /// Like [`SecureStore::read`], but fails with
-    /// [`StoreError::Overloaded`] instead of waiting when the shard
-    /// queue is full, and with [`StoreError::ShardPoisoned`] — without
-    /// consuming a queue slot — when the shard is already quarantined.
-    ///
-    /// # Errors
-    ///
-    /// As [`SecureStore::read`], plus [`StoreError::Overloaded`].
-    pub fn try_read(&self, addr: u64) -> Result<[u8; BLOCK_BYTES], StoreError> {
-        let (shard, local) = self.locate(addr)?;
-        match self.roundtrip(shard, Op::Read { local }, false)? {
-            OpOutput::Read(data) => Ok(data),
-            _ => unreachable!("read op replies with data"),
-        }
-    }
-
     /// Writes the 64-byte block at `addr`, waiting for queue space if
     /// the shard is saturated. Returns once the shard has sealed the
     /// block (the write is then *acknowledged*).
@@ -770,19 +730,7 @@ impl SecureStore {
     /// transaction — retry once it resolves.
     pub fn write(&self, addr: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
         let (shard, local) = self.locate(addr)?;
-        self.roundtrip(shard, Op::Write { local, data: *data }, true)
-            .map(|_| ())
-    }
-
-    /// Like [`SecureStore::write`], but fails with
-    /// [`StoreError::Overloaded`] instead of waiting.
-    ///
-    /// # Errors
-    ///
-    /// As [`SecureStore::write`], plus [`StoreError::Overloaded`].
-    pub fn try_write(&self, addr: u64, data: &[u8; BLOCK_BYTES]) -> Result<(), StoreError> {
-        let (shard, local) = self.locate(addr)?;
-        self.roundtrip(shard, Op::Write { local, data: *data }, false)
+        self.roundtrip(shard, Op::Write { local, data: *data })
             .map(|_| ())
     }
 
@@ -805,7 +753,7 @@ impl SecureStore {
             local,
             f: Box::new(f),
         };
-        match self.roundtrip(shard, op, true)? {
+        match self.roundtrip(shard, op)? {
             OpOutput::Modified { old } => Ok(old),
             _ => unreachable!("rmw op replies with the pre-image"),
         }
@@ -816,7 +764,7 @@ impl SecureStore {
     /// result per operation in submission order.
     ///
     /// Waits for queue space per shard (batches are the throughput path;
-    /// use `try_*` for latency-sensitive fast-fail traffic). Operations
+    /// use a [`Session`] for latency-sensitive fast-fail traffic). Operations
     /// on different shards execute concurrently; operations on the same
     /// shard execute in submission order.
     #[must_use]
@@ -1315,58 +1263,58 @@ mod tests {
     }
 
     #[test]
-    fn try_write_fast_fails_when_queue_full() {
+    fn session_submit_fast_fails_when_queue_full() {
         use std::sync::mpsc;
-        let store = Arc::new(SecureStore::new(StoreConfig {
+        let store = SecureStore::new(StoreConfig {
             shards: 1,
             shard_bytes: 1 << 16,
             queue_depth: 1,
             max_batch: 1,
             ..StoreConfig::default()
-        }));
+        });
+        // A window wider than the queue, so the bounce below can only
+        // come from the full shard queue, never from the window.
+        let mut session = store.session_with(SessionConfig {
+            in_flight_window: 4,
+        });
         // Jam the worker inside an RMW closure so the queue backs up. The
         // closure signals once the worker is inside it, so the sequencing
         // below is deterministic, not timing-dependent.
         let (started_tx, started_rx) = mpsc::sync_channel::<()>(1);
         let (gate_tx, gate_rx) = mpsc::sync_channel::<()>(1);
-        let jammed = Arc::clone(&store);
-        let jam = std::thread::spawn(move || {
-            jammed
-                .read_modify_write(0, move |_| {
-                    let _ = started_tx.send(());
-                    let _ = gate_rx.recv();
-                })
-                .unwrap();
-        });
+        let jam = session
+            .submit_rmw(0, move |_| {
+                let _ = started_tx.send(());
+                let _ = gate_rx.recv();
+            })
+            .unwrap();
         started_rx.recv().unwrap(); // worker is jammed, queue is empty
-                                    // Fill the single queue slot with a blocking writer, then wait for
-                                    // its send to land (depth is incremented only after a successful
-                                    // send, and the jammed worker cannot dequeue it).
-        let filler_store = Arc::clone(&store);
-        let filler = std::thread::spawn(move || {
-            filler_store.write(64, &[1; 64]).unwrap();
-        });
-        while store.queue_depth(0) < 1 {
-            std::thread::sleep(std::time::Duration::from_millis(1));
-        }
-        // The queue is provably full: the fast-fail path must reject.
+        let filler = session
+            .submit(StoreOp::Write {
+                addr: 64,
+                data: [1; 64],
+            })
+            .unwrap();
+        assert_eq!(store.queue_depth(0), 1, "the single queue slot is taken");
+        // The queue is provably full: the submit must fast-fail.
         assert_eq!(
-            store.try_write(128, &[2; 64]),
+            session.submit(StoreOp::Write {
+                addr: 128,
+                data: [2; 64],
+            }),
             Err(StoreError::Overloaded { shard: 0 })
         );
+        assert_eq!(session.stats().window_rejections, 0, "not a window bounce");
         assert_eq!(store.overloads(0), 1);
         gate_tx.send(()).unwrap();
-        jam.join().unwrap();
-        filler.join().unwrap();
-        let snap = Arc::try_unwrap(store)
-            .map(|s| {
-                let snap = s.telemetry();
-                let _ = s.shutdown();
-                snap
-            })
-            .unwrap_or_else(|_| panic!("store still shared"));
-        assert!(
-            snap.counter("store/shard0/overloads").unwrap_or(0) >= 1,
+        assert!(matches!(session.wait(jam), Ok(StoreValue::Modified(_))));
+        assert_eq!(session.wait(filler), Ok(StoreValue::Written));
+        drop(session);
+        let snap = store.telemetry();
+        let _ = store.shutdown();
+        assert_eq!(
+            snap.counter("store/shard0/overloads"),
+            Some(1),
             "overloads are counted"
         );
     }

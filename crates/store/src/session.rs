@@ -41,6 +41,13 @@
 //! preserves each worker's send order). Across shards there is no
 //! ordering. A read submitted after a write to the same address
 //! (same shard by construction) therefore observes that write.
+//!
+//! # Split sessions
+//!
+//! [`SecureStore::split_session`] opens the same pipeline as two halves,
+//! a [`SessionSubmitter`] and a [`SessionReaper`], paired with an eventfd
+//! that the workers ring after each completion — the hook an epoll event
+//! loop reaps through. It returns `None` where no eventfd can be made.
 
 use crate::shard::{Completion, Op, OpOutput, OpReply, Request};
 use crate::wake::WakeFd;
@@ -49,9 +56,7 @@ use ame_engine::BLOCK_BYTES;
 use ame_telemetry::{Histogram, MetricSink, Metrics, Snapshot, StatsRegistry};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{
-    sync_channel, Receiver, RecvTimeoutError, SyncSender, TryRecvError, TrySendError,
-};
+use std::sync::mpsc::{sync_channel, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -525,26 +530,11 @@ struct SplitShared {
     per_shard: Vec<AtomicUsize>,
 }
 
-/// What [`SessionReaper::recv_timeout`] produced.
-#[derive(Debug)]
-pub enum Reaped {
-    /// One operation finished; same payload contract as
-    /// [`Session::wait_any`].
-    Completion(Ticket, Result<StoreValue, StoreError>),
-    /// Nothing completed within the timeout; in-flight tickets are
-    /// untouched.
-    TimedOut,
-    /// The submitting half is gone and every completion has been
-    /// drained: the pipeline is finished, `recv` will never yield again.
-    Closed,
-}
-
 /// The submitting half of a split session (see
-/// [`SecureStore::split_session_with`]): submissions without reaping.
+/// [`SecureStore::split_session`]): submissions without reaping.
 ///
-/// Dropping the submitter closes the pipeline: once the in-flight
-/// operations drain, the paired [`SessionReaper`] reports
-/// [`Reaped::Closed`].
+/// Dropping the submitter closes the pipeline; the in-flight operations
+/// still complete and arrive on the paired [`SessionReaper`].
 pub struct SessionSubmitter<'a> {
     store: &'a SecureStore,
     window: usize,
@@ -553,8 +543,8 @@ pub struct SessionSubmitter<'a> {
     shared: Arc<SplitShared>,
     /// Rung by the worker after each completion send, so an
     /// event-driven reaper blocked in `epoll_wait` learns the queue
-    /// went non-empty. `None` for plain split sessions.
-    wake: Option<Arc<WakeFd>>,
+    /// went non-empty.
+    wake: Arc<WakeFd>,
 }
 
 impl std::fmt::Debug for SessionSubmitter<'_> {
@@ -571,11 +561,8 @@ pub struct SessionReaper<'a> {
     rx: Receiver<Completion>,
     shared: Arc<SplitShared>,
     /// The kernel-visible readiness signal paired with the completion
-    /// queue (wake-enabled sessions only).
-    wake: Option<Arc<WakeFd>>,
-    /// Latched once `try_recv_all` observes the disconnected (and fully
-    /// drained) pipeline.
-    closed: bool,
+    /// queue.
+    wake: Arc<WakeFd>,
 }
 
 impl std::fmt::Debug for SessionReaper<'_> {
@@ -585,23 +572,6 @@ impl std::fmt::Debug for SessionReaper<'_> {
 }
 
 impl<'a> SessionSubmitter<'a> {
-    /// The per-shard in-flight window.
-    #[must_use]
-    pub fn window(&self) -> usize {
-        self.window
-    }
-
-    /// Operations currently in flight (submitted, not yet reaped by the
-    /// paired [`SessionReaper`]), across all shards.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.shared
-            .per_shard
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
-    }
-
     /// Submits one read or write without waiting; the completion arrives
     /// on the paired reaper, tagged with the returned [`Ticket`].
     ///
@@ -663,7 +633,7 @@ impl<'a> SessionSubmitter<'a> {
             seq,
             enqueued: Instant::now(),
             reply: self.tx.clone(),
-            wake: self.wake.clone(),
+            wake: Some(Arc::clone(&self.wake)),
         };
         // Count the slot *before* the send: the completion (and the
         // reaper's decrement) can race an increment placed after it.
@@ -686,40 +656,7 @@ impl<'a> SessionSubmitter<'a> {
     }
 }
 
-impl<'a> SessionReaper<'a> {
-    /// Blocks for the next completion. `None` once the paired submitter
-    /// is dropped **and** every in-flight completion has been drained —
-    /// the natural exit condition for a dedicated reaping thread.
-    pub fn recv(&mut self) -> Option<(Ticket, Result<StoreValue, StoreError>)> {
-        match self.rx.recv() {
-            Ok(completion) => Some(self.absorb(completion)),
-            Err(_) => None,
-        }
-    }
-
-    /// Like [`SessionReaper::recv`], but gives up after `timeout` so the
-    /// reaping thread can interleave periodic work (shutdown checks,
-    /// liveness) with the blocking drain.
-    pub fn recv_timeout(&mut self, timeout: Duration) -> Reaped {
-        match self.rx.recv_timeout(timeout) {
-            Ok(completion) => {
-                let (ticket, result) = self.absorb(completion);
-                Reaped::Completion(ticket, result)
-            }
-            Err(RecvTimeoutError::Timeout) => Reaped::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => Reaped::Closed,
-        }
-    }
-
-    /// Non-blocking variant: `None` when nothing has completed yet (or
-    /// the pipeline is closed).
-    pub fn try_recv(&mut self) -> Option<(Ticket, Result<StoreValue, StoreError>)> {
-        self.rx
-            .try_recv()
-            .ok()
-            .map(|completion| self.absorb(completion))
-    }
-
+impl SessionReaper<'_> {
     /// Drains every completion available right now without blocking, in
     /// arrival (per-shard FIFO) order. The event-driven reap: a reactor
     /// woken by this session's [`wake_fd`](Self::wake_fd) calls
@@ -728,107 +665,58 @@ impl<'a> SessionReaper<'a> {
     /// between the two re-rings the wakeup).
     pub fn try_recv_all(&mut self) -> Vec<(Ticket, Result<StoreValue, StoreError>)> {
         let mut out = Vec::new();
-        loop {
-            match self.rx.try_recv() {
-                Ok(completion) => out.push(self.absorb(completion)),
-                Err(TryRecvError::Empty) => break,
-                Err(TryRecvError::Disconnected) => {
-                    self.closed = true;
-                    break;
-                }
-            }
+        while let Ok(completion) = self.rx.try_recv() {
+            self.shared.per_shard[completion.shard].fetch_sub(1, Ordering::Relaxed);
+            out.push((Ticket(completion.seq), completion.result.map(to_value)));
         }
         out
     }
 
-    /// `true` once the paired submitter is gone **and** every completion
-    /// has been drained (observed by
-    /// [`try_recv_all`](Self::try_recv_all)): the pipeline will never
-    /// yield again.
-    #[must_use]
-    pub fn pipeline_closed(&self) -> bool {
-        self.closed
-    }
-
     /// The raw wake descriptor to register in an `epoll(7)` interest
-    /// set, for sessions opened with
-    /// [`SecureStore::split_session_with_wake`]; `None` for plain split
-    /// sessions and hosts without eventfd.
+    /// set.
     #[must_use]
-    pub fn wake_fd(&self) -> Option<i32> {
-        self.wake.as_ref().map(|w| w.raw_fd())
+    pub fn wake_fd(&self) -> i32 {
+        self.wake.raw_fd()
     }
 
     /// Clears the wake descriptor's pending-signal counter. Call on
     /// wakeup *before* [`try_recv_all`](Self::try_recv_all).
     pub fn drain_wake(&self) {
-        if let Some(w) = &self.wake {
-            w.drain();
-        }
-    }
-
-    fn absorb(&mut self, completion: Completion) -> (Ticket, Result<StoreValue, StoreError>) {
-        self.shared.per_shard[completion.shard].fetch_sub(1, Ordering::Relaxed);
-        (Ticket(completion.seq), completion.result.map(to_value))
+        self.wake.drain();
     }
 }
 
 impl SecureStore {
     /// Opens a **split** pipelined session: a [`SessionSubmitter`] and a
-    /// [`SessionReaper`] that can live on two different threads, unlike
-    /// the single-owner [`Session`]. This is the serving-layer hook: a
-    /// network front-end drives submissions from its socket-reader
-    /// thread while a dedicated writer thread blocks on completions and
-    /// streams responses out — no polling between the two event sources.
+    /// [`SessionReaper`], unlike the single-owner [`Session`], paired
+    /// with a kernel-visible [`WakeFd`]. Shard workers ring the wake
+    /// descriptor after each completion send, and the reaper exposes it
+    /// via [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
+    /// interest set. This is the serving-layer hook: it lets one
+    /// event-loop thread block in `epoll_wait` over many sessions *and*
+    /// their sockets at once.
     ///
     /// Window semantics are identical to [`Session`]: at most
     /// `config.in_flight_window` operations in flight per shard, then
     /// [`StoreError::Overloaded`]. Dropping the submitter ends the
-    /// pipeline; the reaper drains the stragglers and reports
-    /// [`Reaped::Closed`].
+    /// pipeline; the reaper still drains the stragglers.
+    ///
+    /// Returns `None` when no eventfd can be made (a host without
+    /// eventfd, or descriptor exhaustion).
     ///
     /// # Panics
     ///
     /// Panics if `config.in_flight_window` is zero.
     #[must_use]
-    pub fn split_session_with(
+    pub fn split_session(
         &self,
         config: SessionConfig,
-    ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
-        self.split_session_inner(config, None)
-    }
-
-    /// Like [`SecureStore::split_session_with`], but pairs the pipeline
-    /// with a kernel-visible [`WakeFd`]: shard workers ring it after
-    /// each completion send, and the reaper exposes it via
-    /// [`SessionReaper::wake_fd`] for registration in an `epoll(7)`
-    /// interest set. This is what lets one event-loop thread block in
-    /// `epoll_wait` over many sessions *and* their sockets at once —
-    /// the reactor's completion path. When the host has no eventfd the
-    /// session is identical to a plain split session (`wake_fd()` is
-    /// `None`) and the caller must poll or block instead; there is no
-    /// silent half-working state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.in_flight_window` is zero.
-    #[must_use]
-    pub fn split_session_with_wake(
-        &self,
-        config: SessionConfig,
-    ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
-        self.split_session_inner(config, WakeFd::new().map(Arc::new))
-    }
-
-    fn split_session_inner(
-        &self,
-        config: SessionConfig,
-        wake: Option<Arc<WakeFd>>,
-    ) -> (SessionSubmitter<'_>, SessionReaper<'_>) {
+    ) -> Option<(SessionSubmitter<'_>, SessionReaper<'_>)> {
         assert!(
             config.in_flight_window > 0,
             "the in-flight window must admit at least one operation"
         );
+        let wake = Arc::new(WakeFd::new()?);
         let shards = self.config.shards;
         // Same sizing rule as `Session`: every outstanding completion
         // fits, so workers never block pushing completions.
@@ -836,23 +724,22 @@ impl SecureStore {
         let shared = Arc::new(SplitShared {
             per_shard: (0..shards).map(|_| AtomicUsize::new(0)).collect(),
         });
-        (
+        Some((
             SessionSubmitter {
                 store: self,
                 window: config.in_flight_window,
                 next_seq: 1,
                 tx,
                 shared: Arc::clone(&shared),
-                wake: wake.clone(),
+                wake: Arc::clone(&wake),
             },
             SessionReaper {
                 _store: self,
                 rx,
                 shared,
                 wake,
-                closed: false,
             },
-        )
+        ))
     }
 }
 

@@ -174,8 +174,8 @@ pub(crate) enum Request {
 pub(crate) struct ShardShared {
     /// Operations enqueued but not yet dequeued by the worker.
     pub depth: AtomicI64,
-    /// Fast-fail rejections: `try_*` and session submissions bounced
-    /// with `Overloaded` or the poisoned-shard early return.
+    /// Fast-fail rejections: session submissions bounced with
+    /// `Overloaded` or the poisoned-shard early return.
     pub overloads: AtomicU64,
     /// Set (never cleared) by the worker when the shard is quarantined.
     pub poisoned: AtomicBool,

@@ -15,9 +15,10 @@
 //!
 //! Same construction rules as [`crate::affinity`]: the workspace links
 //! no libc crate, so the three syscalls we need are declared by hand and
-//! wrapped in safe methods. Everything is best-effort — on a host
-//! without eventfd (any non-Linux OS) [`WakeFd::new`] returns `None`
-//! and callers fall back to blocking reaps; a failed signal is ignored
+//! wrapped in safe methods. On a host without eventfd (any non-Linux
+//! OS) [`WakeFd::new`] returns `None`, so
+//! [`SecureStore::split_session`](crate::SecureStore::split_session)
+//! does too; there is no wake-less fallback. A failed signal is ignored
 //! (the reader also drains opportunistically, so a lost edge costs one
 //! poll interval, never a lost completion).
 
@@ -101,9 +102,9 @@ mod imp {
 /// An edge-coalescing kernel wakeup (an `eventfd(2)` on Linux).
 ///
 /// Created by [`WakeFd::new`] — `None` on hosts without eventfd, which
-/// is how the serving layer discovers it must fall back to blocking
-/// reaps. Cloned handles (via `Arc`) share the one descriptor; the fd
-/// closes when the last handle drops.
+/// is how the serving layer discovers it cannot serve there. Cloned
+/// handles (via `Arc`) share the one descriptor; the fd closes when the
+/// last handle drops.
 #[derive(Debug)]
 pub struct WakeFd {
     raw: imp::RawWake,
